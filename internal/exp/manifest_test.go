@@ -51,6 +51,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	if back.Stats.Events != stats.Events || back.Stats.Runs != stats.Runs {
 		t.Fatalf("RunStats round trip: got %+v, want %+v", back.Stats, stats)
 	}
+	// Every hop's propagation arrival goes through an engine lane; every
+	// other event (serialization, pacing, samplers) through the ladder.
+	if l := back.Stats.EventsLaneScheduled; l == 0 || l >= back.Stats.EventsScheduled {
+		t.Fatalf("events_lane_scheduled = %d of %d scheduled, want a proper share", l, back.Stats.EventsScheduled)
+	}
 
 	// The JSON schema documented in EXPERIMENTS.md: spot-check stable keys.
 	var keys map[string]any
@@ -66,7 +71,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("run_stats is not an object")
 	}
-	for _, k := range []string{"runs", "events", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
+	for _, k := range []string{"runs", "events", "events_lane_scheduled", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
 		if _, ok := rs[k]; !ok {
 			t.Errorf("run_stats JSON missing key %q", k)
 		}
@@ -75,9 +80,9 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestRunStatsMetricsInvariants(t *testing.T) {
 	var s metrics.RunStats
-	s.Add(metrics.RunStats{Runs: 1, Events: 100, PeakPending: 10, PoolGets: 100, PoolAllocs: 25})
-	s.Add(metrics.RunStats{Runs: 1, Events: 50, PeakPending: 40, PoolGets: 100, PoolAllocs: 25})
-	if s.Runs != 2 || s.Events != 150 {
+	s.Add(metrics.RunStats{Runs: 1, Events: 100, EventsLaneScheduled: 40, PeakPending: 10, PoolGets: 100, PoolAllocs: 25})
+	s.Add(metrics.RunStats{Runs: 1, Events: 50, EventsLaneScheduled: 20, PeakPending: 40, PoolGets: 100, PoolAllocs: 25})
+	if s.Runs != 2 || s.Events != 150 || s.EventsLaneScheduled != 60 {
 		t.Fatalf("Add summed wrong: %+v", s)
 	}
 	if s.PeakPending != 40 {

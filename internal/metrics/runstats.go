@@ -28,6 +28,10 @@ type RunStats struct {
 	// a steady workload it should track peak pending, not event count —
 	// a higher value means the scheduling hot path is allocating.
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
+	// EventsLaneScheduled is the part of EventsScheduled that went through
+	// a fixed-delay engine lane (every local propagation arrival) instead
+	// of the ladder queue, summed across runs.
+	EventsLaneScheduled uint64 `json:"events_lane_scheduled"`
 
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -145,6 +149,7 @@ func (s *RunStats) addEngine(es sim.EngineStats) {
 		s.PeakPending = es.PeakPending
 	}
 	s.EventSlotAllocs += es.EventAllocs
+	s.EventsLaneScheduled += es.LaneScheduled
 }
 
 func (s *RunStats) fillNetwork(ns net.NetworkStats) {
@@ -180,6 +185,7 @@ func (s *RunStats) Add(o RunStats) {
 		s.PeakPending = o.PeakPending
 	}
 	s.EventSlotAllocs += o.EventSlotAllocs
+	s.EventsLaneScheduled += o.EventsLaneScheduled
 	s.SimSeconds += o.SimSeconds
 	s.DataSent += o.DataSent
 	s.DataDelivered += o.DataDelivered

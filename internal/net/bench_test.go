@@ -114,9 +114,9 @@ func BenchmarkSteadyStateStep(b *testing.B) {
 
 // TestSteadyStateStepDoesNotAllocate pins the tentpole's allocation story:
 // once pools are warm, the per-event hot path allocates nothing — packet
-// pool misses and event-slot arena growth both stay exactly flat, and
-// total allocations (including scheduler bucket recycling) stay far below
-// one per thousand events.
+// pool misses, event-slot arena growth and propagation-lane ring growth
+// all stay exactly flat, and total allocations (including scheduler bucket
+// recycling) stay far below one per thousand events.
 func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	eng, nw := benchFabric(t, 2_000_000)
 	for i := 0; i < 500_000; i++ {
@@ -126,6 +126,15 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	}
 	poolAllocs := nw.Stats().PoolAllocs
 	slotAllocs := eng.Stats().EventAllocs
+	laneCaps := map[*sim.Lane]int{}
+	for _, sw := range nw.Switches() {
+		for _, pt := range sw.ports {
+			laneCaps[pt.lane] = pt.lane.Cap()
+		}
+	}
+	if len(laneCaps) != 1 {
+		t.Fatalf("fabric with one link delay uses %d lanes, want 1", len(laneCaps))
+	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 50_000; i++ {
 			if !eng.Step() {
@@ -138,6 +147,14 @@ func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
 	}
 	if d := eng.Stats().EventAllocs - slotAllocs; d != 0 {
 		t.Fatalf("steady state allocated %d fresh event slots, want 0", d)
+	}
+	for l, c := range laneCaps {
+		if l.Cap() != c {
+			t.Fatalf("lane ring grew from %d to %d entries in steady state", c, l.Cap())
+		}
+	}
+	if st := eng.Stats(); st.LaneScheduled == 0 {
+		t.Fatal("no propagation arrival went through a lane")
 	}
 	if allocs > 50 {
 		t.Fatalf("steady-state stepping allocates %.1f objects per 50k events, want ~0", allocs)

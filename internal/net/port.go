@@ -27,12 +27,15 @@ type Port struct {
 
 	// sh/eng are the execution shard the port's owner lives on and that
 	// shard's engine (always shard 0 until Network.Shard rebinds). Every
-	// event the port schedules — serialization completion, local
-	// propagation arrival — goes to eng; pool, PRNG and counter traffic
-	// goes to sh. xmail, nil for intra-shard links, is the mailbox this
-	// port hands packets into when its peer lives on a different shard.
+	// event the port schedules goes to eng; pool, PRNG and counter traffic
+	// goes to sh. lane is eng's fixed-delay lane for this link's
+	// propagation delay: local propagation arrivals go through it, which
+	// keeps them out of the ladder queue. xmail, nil for intra-shard
+	// links, is the mailbox this port hands packets into instead when its
+	// peer lives on a different shard (lane is then nil).
 	sh    *shard
 	eng   *sim.Engine
+	lane  *sim.Lane
 	xmail *sim.Outbox
 
 	// Concrete views of owner, exactly one non-nil. Packet arrival is the
@@ -337,7 +340,7 @@ func (pt *Port) finishTx(p *Packet) {
 	}
 	p.dest = pt.peer
 	if pt.xmail == nil {
-		pt.eng.After(pt.delay, p.arrive)
+		pt.lane.After(p.arrive)
 	} else {
 		pt.xmail.Send(pt.eng.Now()+pt.delay, p.arrive)
 	}

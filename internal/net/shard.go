@@ -246,29 +246,33 @@ func (n *Network) Shard(assignment []int, k int) {
 		s.sh = n.shards[assignment[s.id]]
 		rebind(s, s.ports)
 	}
-	// Wire the cross-shard handoffs and derive the lookahead window.
+	// Bind every port's arrivals (shard lane or cross-shard mailbox) and
+	// derive the lookahead window.
 	for _, h := range n.hosts {
 		if h.port != nil {
-			n.bindCrossShard(h.port)
+			n.bindArrival(h.port)
 		}
 	}
 	for _, s := range n.switches {
 		for _, pt := range s.ports {
-			n.bindCrossShard(pt)
+			n.bindArrival(pt)
 		}
 	}
 }
 
-// bindCrossShard points pt at its mailbox when its peer lives on another
-// shard, and folds the link delay into the lookahead: both the global
-// minimum (Window, kept for observability) and the per-(src,dst) pair
-// matrix that sim.Parallel uses to widen each shard's horizon when the
-// binding pair is idle.
-func (n *Network) bindCrossShard(pt *Port) {
+// bindArrival binds pt's propagation arrivals: to its shard engine's
+// lane for the link delay when the peer is on the same shard, otherwise to
+// the mailbox toward the peer's shard. A cross-shard link also folds its
+// delay into the lookahead: both the global minimum (Window, kept for
+// observability) and the per-(src,dst) pair matrix that sim.Parallel uses
+// to widen each shard's horizon when the binding pair is idle.
+func (n *Network) bindArrival(pt *Port) {
 	src, dst := pt.sh.id, pt.peer.sh.id
 	if src == dst {
+		pt.lane = pt.eng.Lane(pt.delay)
 		return
 	}
+	pt.lane = nil
 	if pt.delay <= 0 {
 		panic(fmt.Sprintf("net: cross-shard link %d->%d has zero propagation delay (no lookahead)",
 			pt.owner.NodeID(), pt.peer.owner.NodeID()))

@@ -112,6 +112,21 @@ func TestShardWindowLookahead(t *testing.T) {
 			t.Fatalf("PairWindow(%d,%d) = %v, want 0 (no self link)", s, s, got)
 		}
 	}
+	// Propagation arrivals: intra-shard ports use their own shard engine's
+	// lane for the link delay; the cross-shard link uses mailboxes only.
+	for _, pt := range []*Port{p0, p0.peer, p1, p1.peer} {
+		if pt.xmail != nil || pt.lane == nil || pt.lane != pt.eng.Lane(pt.delay) {
+			t.Fatalf("intra-shard port on node %d not bound to its shard's lane", pt.owner.NodeID())
+		}
+	}
+	if p0.eng == p1.eng {
+		t.Fatal("intra-shard ports of different shards share an engine")
+	}
+	for _, pt := range []*Port{up, down} {
+		if pt.xmail == nil || pt.lane != nil {
+			t.Fatalf("cross-shard port on node %d: xmail %v, lane %v", pt.owner.NodeID(), pt.xmail, pt.lane)
+		}
+	}
 }
 
 // TestShardPairWindows checks the per-pair lookahead matrix on an

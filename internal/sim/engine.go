@@ -36,14 +36,18 @@ type slot struct {
 // schedule and dequeue for the clustered timestamps a packet simulation
 // produces, with execution order exactly (time, scheduling order) — the
 // same total order as a binary heap, so fixed-seed runs are bit-for-bit
-// reproducible across scheduler implementations. Steady-state scheduling
-// is allocation-free: callbacks bound once (method values, per-object
-// closures) are stored in recycled slots, and queue entries live in pooled
-// buckets.
+// reproducible across scheduler implementations. Events scheduled a fixed
+// delay after the clock can bypass the ladder through a Lane (lane.go), a
+// FIFO that is sorted by construction; the engine always executes the
+// least of the ladder front and the lane heads, so the order is the same
+// either way. Steady-state scheduling is allocation-free: callbacks bound
+// once (method values, per-object closures) are stored in recycled slots,
+// and queue entries live in pooled buckets or lane rings.
 type Engine struct {
-	now Time
-	seq uint64
-	q   ladderQueue
+	now   Time
+	seq   uint64
+	q     ladderQueue
+	lanes []*Lane // one per distinct delay, in creation order
 
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
@@ -54,6 +58,8 @@ type Engine struct {
 	cancelled  uint64 // events cancelled over the engine's lifetime
 	peakLive   int    // high-water mark of live
 	slotAllocs uint64 // fresh slot allocations (arena growth)
+
+	laneScheduled uint64 // events scheduled through a lane
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -90,18 +96,22 @@ type EngineStats struct {
 	// concurrent event count — a rising value on a stable workload means
 	// the scheduling hot path is allocating.
 	EventAllocs uint64 `json:"event_slot_allocs"`
+	// LaneScheduled counts the scheduled events (of Scheduled) that went
+	// through a fixed-delay Lane rather than the ladder queue.
+	LaneScheduled uint64 `json:"events_lane_scheduled"`
 }
 
 // Stats snapshots the engine counters. Reading them never perturbs the
 // simulation.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Steps:       e.steps,
-		Scheduled:   e.seq,
-		Cancelled:   e.cancelled,
-		Pending:     e.live,
-		PeakPending: e.peakLive,
-		EventAllocs: e.slotAllocs,
+		Steps:         e.steps,
+		Scheduled:     e.seq,
+		Cancelled:     e.cancelled,
+		Pending:       e.live,
+		PeakPending:   e.peakLive,
+		EventAllocs:   e.slotAllocs,
+		LaneScheduled: e.laneScheduled,
 	}
 }
 
@@ -113,24 +123,36 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var idx uint32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, slot{})
-		idx = uint32(len(e.slots) - 1)
-		e.slotAllocs++
+	en := e.newEntry(t, fn)
+	e.q.push(en)
+	return EventID{idx: en.idx + 1, gen: en.gen}
+}
+
+// newEntry binds fn to a slot (free-list reuse, else arena growth) and
+// returns the queue entry that runs it at t, stamped with the next
+// scheduling sequence number. At and Lane.After share it, so both paths
+// count identically toward Scheduled, Pending and EventAllocs.
+func (e *Engine) newEntry(t Time, fn func()) entry {
+	if len(e.free) == 0 {
+		e.growSlots()
 	}
+	idx := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
 	s := &e.slots[idx]
 	s.fn = fn
-	e.q.push(entry{at: t, seq: e.seq, idx: idx, gen: s.gen})
+	en := entry{at: t, seq: e.seq, idx: idx, gen: s.gen}
 	e.seq++
 	e.live++
-	if e.live > e.peakLive {
-		e.peakLive = e.live
-	}
-	return EventID{idx: idx + 1, gen: s.gen}
+	e.peakLive = max(e.peakLive, e.live)
+	return en
+}
+
+// growSlots adds a fresh slot to the arena and puts its index on the free
+// list.
+func (e *Engine) growSlots() {
+	e.slots = append(e.slots, slot{})
+	e.free = append(e.free, uint32(len(e.slots)-1))
+	e.slotAllocs++
 }
 
 // After schedules fn to run d after the current time.
@@ -163,24 +185,63 @@ func (e *Engine) Cancel(id EventID) {
 	e.cancelled++
 }
 
-// peekLive returns the next runnable entry, discarding cancelled corpses
-// as they surface. It reports false when no live events remain.
-func (e *Engine) peekLive() (entry, bool) {
+// laneHead returns the lane whose head entry is least by (at, seq), or
+// nil when every lane is empty.
+func (e *Engine) laneHead() *Lane {
+	var best *Lane
+	for _, l := range e.lanes {
+		if l.n > 0 && (best == nil || entryLess(l.buf[l.head], best.buf[best.head])) {
+			best = l
+		}
+	}
+	return best
+}
+
+// front returns the least stored entry, live or cancelled, and the lane
+// holding it (nil for the ladder). It reports false when nothing is
+// stored.
+func (e *Engine) front() (en entry, from *Lane, ok bool) {
+	q := &e.q
+	// refill reports true only with a non-empty epoch.
+	if ok = q.curHead < len(q.cur) || q.refill(); ok {
+		en = q.cur[q.curHead]
+	}
+	if l := e.laneHead(); l != nil {
+		if h := l.buf[l.head]; !ok || entryLess(h, en) {
+			return h, l, true
+		}
+	}
+	return en, nil, ok
+}
+
+// drop consumes the entry front returned.
+func (e *Engine) drop(from *Lane) {
+	if from == nil {
+		e.q.drop()
+	} else {
+		from.pop()
+	}
+}
+
+// peekLive returns the next runnable entry and its lane (nil for the
+// ladder), discarding cancelled corpses as they surface. It reports false
+// when no live events remain.
+func (e *Engine) peekLive() (entry, *Lane, bool) {
 	for {
-		en, ok := e.q.peek()
+		en, from, ok := e.front()
 		if !ok {
-			return entry{}, false
+			return entry{}, nil, false
 		}
 		if e.slots[en.idx].gen == en.gen {
-			return en, true
+			return en, from, true
 		}
-		e.q.drop() // cancelled corpse
+		e.drop(from) // cancelled corpse
 	}
 }
 
 // exec consumes an already-peeked entry and runs its callback.
-func (e *Engine) exec(en entry) {
-	e.q.drop()
+func (e *Engine) exec(en entry, from *Lane) {
+	e.drop(from)
 	e.now = en.at
 	e.live--
 	e.steps++
@@ -196,26 +257,45 @@ func (e *Engine) exec(en entry) {
 // false means the queue is empty.
 //
 // The body fuses peekLive and exec: the slot is addressed once for both
-// the liveness check and the callback fetch. At tens of millions of events
-// per run the saved call layer and duplicate slot load are measurable.
+// the liveness check and the callback fetch, and the ladder front and the
+// single-lane head (the common shape: one link delay per engine) are
+// compared inline. At tens of millions of events per run the saved call
+// layers and duplicate loads are measurable.
 func (e *Engine) Step() bool {
 	q := &e.q
 	for {
-		// Manually inlined q.peek()+q.drop(): the per-event call overhead
-		// is visible at this frequency, and the compiler won't inline peek
-		// past its refill loop.
-		for q.curHead >= len(q.cur) {
-			if !q.refill() {
-				return false
+		// Manually inlined front(): the per-event call overhead is
+		// visible at this frequency, and the compiler won't inline front
+		// past refill and the lane loop.
+		var en entry
+		var from *Lane
+		ok := q.curHead < len(q.cur) || q.refill()
+		if ok {
+			en = q.cur[q.curHead]
+		}
+		if len(e.lanes) == 1 {
+			if l := e.lanes[0]; l.n > 0 {
+				if h := l.buf[l.head]; !ok || entryLess(h, en) {
+					en, from, ok = h, l, true
+				}
+			}
+		} else if l := e.laneHead(); l != nil {
+			if h := l.buf[l.head]; !ok || entryLess(h, en) {
+				en, from, ok = h, l, true
 			}
 		}
-		en := q.cur[q.curHead]
+		if !ok {
+			return false
+		}
+		if from == nil {
+			q.curHead++
+		} else {
+			from.pop()
+		}
 		s := &e.slots[en.idx]
 		if s.gen != en.gen {
-			q.curHead++ // cancelled corpse
-			continue
+			continue // cancelled corpse
 		}
-		q.curHead++
 		e.now = en.at
 		e.live--
 		e.steps++
@@ -237,21 +317,39 @@ func (e *Engine) Step() bool {
 func (e *Engine) StepBefore(end Time) bool {
 	q := &e.q
 	for {
-		for q.curHead >= len(q.cur) {
-			if !q.refill() {
-				return false
+		var en entry
+		var from *Lane
+		ok := q.curHead < len(q.cur) || q.refill()
+		if ok {
+			en = q.cur[q.curHead]
+		}
+		if len(e.lanes) == 1 {
+			if l := e.lanes[0]; l.n > 0 {
+				if h := l.buf[l.head]; !ok || entryLess(h, en) {
+					en, from, ok = h, l, true
+				}
+			}
+		} else if l := e.laneHead(); l != nil {
+			if h := l.buf[l.head]; !ok || entryLess(h, en) {
+				en, from, ok = h, l, true
 			}
 		}
-		en := q.cur[q.curHead]
+		if !ok {
+			return false
+		}
 		s := &e.slots[en.idx]
 		if s.gen != en.gen {
-			q.curHead++ // cancelled corpse
+			e.drop(from) // cancelled corpse
 			continue
 		}
 		if en.at >= end {
 			return false
 		}
-		q.curHead++
+		if from == nil {
+			q.curHead++
+		} else {
+			from.pop()
+		}
 		e.now = en.at
 		e.live--
 		e.steps++
@@ -268,7 +366,7 @@ func (e *Engine) StepBefore(end Time) bool {
 // queue is empty. It does not advance the clock (cancelled corpses at the
 // queue front are discarded as a side effect).
 func (e *Engine) NextEventTime() (Time, bool) {
-	en, ok := e.peekLive()
+	en, _, ok := e.peekLive()
 	return en.at, ok
 }
 
@@ -287,11 +385,11 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		en, ok := e.peekLive()
+		en, from, ok := e.peekLive()
 		if !ok || en.at > t {
 			break
 		}
-		e.exec(en)
+		e.exec(en, from)
 	}
 	if e.now < t {
 		e.now = t

@@ -88,29 +88,38 @@ func TestEngineStatsCounts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		evs = append(evs, e.At(Time(i+1), func() {}))
 	}
+	// Lane events count exactly like ladder events, plus LaneScheduled.
+	l := e.Lane(5)
+	for i := 0; i < 4; i++ {
+		evs = append(evs, l.After(func() {}))
+	}
 	e.Cancel(evs[3])
 	e.Cancel(evs[7])
 	e.Cancel(evs[7]) // double-cancel must not double-count
+	e.Cancel(evs[11])
 	e.Run()
 
 	st := e.Stats()
-	if st.Scheduled != 10 {
-		t.Errorf("Scheduled = %d, want 10", st.Scheduled)
+	if st.Scheduled != 14 {
+		t.Errorf("Scheduled = %d, want 14", st.Scheduled)
 	}
-	if st.Cancelled != 2 {
-		t.Errorf("Cancelled = %d, want 2", st.Cancelled)
+	if st.LaneScheduled != 4 {
+		t.Errorf("LaneScheduled = %d, want 4", st.LaneScheduled)
 	}
-	if st.Steps != 8 {
-		t.Errorf("Steps = %d, want 8", st.Steps)
+	if st.Cancelled != 3 {
+		t.Errorf("Cancelled = %d, want 3", st.Cancelled)
+	}
+	if st.Steps != 11 {
+		t.Errorf("Steps = %d, want 11", st.Steps)
 	}
 	if st.Pending != 0 {
 		t.Errorf("Pending = %d, want 0", st.Pending)
 	}
-	if st.PeakPending != 10 {
-		t.Errorf("PeakPending = %d, want 10", st.PeakPending)
+	if st.PeakPending != 14 {
+		t.Errorf("PeakPending = %d, want 14", st.PeakPending)
 	}
-	if st.EventAllocs != 10 {
-		t.Errorf("EventAllocs = %d, want 10 (no reuse possible before first free)", st.EventAllocs)
+	if st.EventAllocs != 14 {
+		t.Errorf("EventAllocs = %d, want 14 (no reuse possible before first free)", st.EventAllocs)
 	}
 }
 

@@ -256,3 +256,66 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEngineLaneIdentity(t *testing.T) {
+	e := NewEngine()
+	a, b := e.Lane(10), e.Lane(20)
+	if a == b || e.Lane(10) != a || a.Delay() != 10 || b.Delay() != 20 {
+		t.Fatal("Lane must return one lane per distinct delay")
+	}
+	if NewEngine().Lane(10) == a {
+		t.Fatal("lanes must be per engine")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative lane delay did not panic")
+		}
+	}()
+	e.Lane(-1)
+}
+
+// TestEngineLaneFIFOAcrossGrowth wraps the ring (head moved off index 0)
+// and then forces it to grow: entries must still come out in scheduling
+// order, each at its scheduling time plus the delay.
+func TestEngineLaneFIFOAcrossGrowth(t *testing.T) {
+	e := NewEngine()
+	l := e.Lane(100)
+	var got []int
+	var times []Time
+	push := func(id int) {
+		l.After(func() {
+			got = append(got, id)
+			times = append(times, e.Now())
+		})
+	}
+	id := 0
+	for ; id < initialLaneCap-4; id++ {
+		push(id)
+	}
+	for i := 0; i < 10; i++ {
+		e.Step()
+	}
+	e.RunUntil(e.Now() + 7)
+	for ; id < 3*initialLaneCap; id++ {
+		push(id)
+	}
+	e.Run()
+	if l.Cap() <= initialLaneCap {
+		t.Fatalf("lane cap %d, want growth past %d", l.Cap(), initialLaneCap)
+	}
+	for i := range got {
+		if got[i] != i {
+			t.Fatalf("position %d ran id %d", i, got[i])
+		}
+		want := Time(100)
+		if i >= initialLaneCap-4 {
+			want = 207
+		}
+		if times[i] != want {
+			t.Fatalf("id %d ran at %v, want %v", i, times[i], want)
+		}
+	}
+	if len(got) != 3*initialLaneCap {
+		t.Fatalf("ran %d events, want %d", len(got), 3*initialLaneCap)
+	}
+}

@@ -276,24 +276,14 @@ func (q *ladderQueue) splitCur() {
 	q.curEnd = start
 }
 
-// peek returns the front entry without consuming it. It reports false when
-// the queue is empty.
-func (q *ladderQueue) peek() (entry, bool) {
-	for q.curHead >= len(q.cur) {
-		if !q.refill() {
-			return entry{}, false
-		}
-	}
-	return q.cur[q.curHead], true
-}
-
-// drop consumes the entry peek returned.
+// drop consumes the front entry, cur[curHead].
 func (q *ladderQueue) drop() { q.curHead++ }
 
 // refill replenishes the consumed epoch from the ladder: it promotes the
 // next non-empty bucket of the deepest rung, subdividing buckets too large
 // to sort cheaply, popping exhausted rungs, and re-bucketing the overflow
-// once the ladder is empty. It reports false when no entries remain.
+// once the ladder is empty. It reports false when no entries remain, and
+// true only with a non-empty epoch, so callers read cur[0] directly.
 func (q *ladderQueue) refill() bool {
 	if q.cur != nil {
 		q.putSlice(q.cur)

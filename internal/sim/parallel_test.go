@@ -556,3 +556,58 @@ func TestParallelProgressMonotonic(t *testing.T) {
 		t.Fatalf("final progress empty: events=%d epochs=%d", ev, ep)
 	}
 }
+
+// TestParallelLaneOnlyShard gives each shard only lane events: shard 0's
+// single pending event sits in a lane, and every event either re-arms
+// through its shard's lane or hands a message to the other shard, which
+// schedules the next lane event on arrival. The runner's horizon and epoch
+// loop read pending time through NextEventTime and execute through
+// StepBefore, so both must see lane heads, or the run stops early or runs
+// an event past its epoch.
+func TestParallelLaneOnlyShard(t *testing.T) {
+	const w = 10
+	engines := []*Engine{NewEngine(), NewEngine()}
+	lanes := []*Lane{engines[0].Lane(3), engines[1].Lane(4)}
+	mail := NewMailboxes(2)
+	var got []string
+	var hop func(shard, left int) func()
+	hop = func(shard, left int) func() {
+		return func() {
+			eng := engines[shard]
+			got = append(got, fmt.Sprintf("t=%d shard=%d", eng.Now(), shard))
+			switch {
+			case left == 0:
+			case left%2 == 0:
+				lanes[shard].After(hop(shard, left-1))
+			default:
+				next := 1 - shard
+				mail.Outbox(shard, next).Send(eng.Now()+w, func() {
+					lanes[next].After(hop(next, left-1))
+				})
+			}
+		}
+	}
+	lanes[0].After(hop(0, 6))
+	if at, ok := engines[0].NextEventTime(); !ok || at != 3 {
+		t.Fatalf("NextEventTime = %v,%v, want the lane head at 3", at, ok)
+	}
+	if engines[0].StepBefore(3) {
+		t.Fatal("StepBefore(3) ran the lane event at 3")
+	}
+	p := NewParallel(engines, mail, ParallelConfig{Window: w})
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"t=3 shard=0", "t=6 shard=0", "t=20 shard=1",
+		"t=24 shard=1", "t=37 shard=0", "t=40 shard=0", "t=54 shard=1",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace = %v, want %v", got, want)
+	}
+	for i, e := range engines {
+		if st := e.Stats(); st.Pending != 0 || st.LaneScheduled == 0 {
+			t.Fatalf("shard %d: pending %d, lane scheduled %d", i, st.Pending, st.LaneScheduled)
+		}
+	}
+}
